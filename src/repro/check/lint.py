@@ -34,6 +34,9 @@ Five rules, each emitting ``file:line`` findings (see
     only the tail counter — each side reads the other's counter but
     never writes it.  A cross-side store is an error; a counter store
     from a method on neither side is a warning (unclassifiable role).
+    Any ``pack_into`` in a ring class is an error: it zero-fills the
+    destination before writing, so a control word stored that way can
+    be read as 0 by the other side mid-store.
 
 Usage::
 
@@ -471,6 +474,17 @@ def check_ring_discipline(files: list[SourceFile]) -> list[Finding]:
             if not isinstance(cls, ast.ClassDef) \
                     or not _RING_COUNTER_ATTRS <= _self_attrs(cls):
                 continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "pack_into":
+                    findings.append(Finding(
+                        "shm-ring-discipline", ERROR, sf.rel, node.lineno,
+                        f"{cls.name} stores a ring control word with "
+                        f"pack_into, which zero-fills the destination "
+                        f"before writing — the other side can read a "
+                        f"torn 0; store through a cast('Q') memoryview "
+                        f"item (one aligned 8-byte copy) instead"))
             for fn in cls.body:
                 if not isinstance(fn, ast.FunctionDef) \
                         or fn.name.startswith("__") \

@@ -226,14 +226,15 @@ class Sanitizer:
 
     # -- deadlock detection ---------------------------------------------------
     def sanitized_wait(self, req) -> None:
-        """Drop-in for ``Event.wait`` inside ``RequestImpl.wait``.
+        """Drop-in for ``RequestImpl.block`` inside ``RequestImpl.wait``.
 
         Non-edge-carrying waits (no specific peer) fall back to a plain
-        blocking wait; edge-carrying ones tick the probe protocol.
+        blocking wait; edge-carrying ones sleep on the rank's wait
+        primitive one probe tick at a time.
         """
         info = getattr(req, "sanitize_block", None)
         if info is None:
-            req._event.wait()
+            req.block()
             return
         rank, waiting_on, ctx, tag, op = info
         wid = next(self._wait_ids)
@@ -241,7 +242,7 @@ class Sanitizer:
         with self._lock:
             self._blocked[rank] = bw
         try:
-            while not req._event.wait(self.probe_interval):
+            while not req.block(self.probe_interval):
                 if self.universe.aborted:
                     break
                 self._tick(bw)

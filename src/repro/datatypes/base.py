@@ -65,6 +65,9 @@ class DatatypeImpl:
         self.disp = np.ascontiguousarray(disp, dtype=np.int64)
         if self.disp.ndim != 1:
             raise MPIException(ERR_TYPE, "displacement map must be 1-D")
+        #: number of base elements transferred per instance (``disp``
+        #: never changes after construction)
+        self.size_elems = int(self.disp.shape[0])
         self.extent_elems = int(extent_elems)
         self.name = name or "user"
         self.committed = bool(committed)
@@ -77,11 +80,6 @@ class DatatypeImpl:
         self._layout: LayoutIR | None = None   # run-length layout IR cache
 
     # -- inquiry (MPI_Type_size / extent / lb / ub) --------------------------
-    @property
-    def size_elems(self) -> int:
-        """Number of base elements transferred per instance."""
-        return int(self.disp.shape[0])
-
     def size_bytes(self) -> int:
         """``MPI_Type_size`` — bytes of actual data per instance."""
         return self.size_elems * self.base.itemsize

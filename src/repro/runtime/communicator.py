@@ -102,6 +102,7 @@ class CommImpl:
                  topology=None):
         self.rt = rt
         self.universe = rt.universe
+        self.progress = rt.mailbox.progress     # the rank's wait primitive
         self.group = group
         self.remote_group = remote_group
         self.ctx_pt2pt = int(ctx_pt2pt)
@@ -247,7 +248,7 @@ class CommImpl:
         MPI-legal moment for buffer reuse.
         """
         rt = self.rt
-        req = RequestImpl(self.universe, RequestImpl.KIND_SEND)
+        req = RequestImpl(self.universe, RequestImpl.KIND_SEND, self.progress)
         seq = rt.next_seq()
         env = Envelope(src=rt.world_rank, dst=dest_world, context=ctx,
                        tag=tag, mode=mode, seq=seq, payload=payload,
@@ -331,7 +332,8 @@ class CommImpl:
         self._check_alive()
         self._check_tag(tag)
         if dest == PROC_NULL:
-            req = RequestImpl(self.universe, RequestImpl.KIND_SEND)
+            req = RequestImpl(self.universe, RequestImpl.KIND_SEND,
+                              self.progress)
             req.complete()
             return req
         dest_world = self._dest_world(dest)
@@ -358,7 +360,7 @@ class CommImpl:
               source: int, tag: int) -> RequestImpl:
         self._check_alive()
         self._check_tag(tag, allow_any=True)
-        req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
+        req = RequestImpl(self.universe, RequestImpl.KIND_RECV, self.progress)
         req.source_comm = self
         if source == PROC_NULL:
             req.complete(source_world=PROC_NULL, tag=ANY_TAG,
@@ -391,9 +393,10 @@ class CommImpl:
         self.rt.mailbox.post_recv(req, source_world, tag,
                                   self.ctx_pt2pt, land,
                                   recv_views=recv_views)
-        req.arm_failure_scope(contexts=(self.ctx_pt2pt,),
-                              peers=self._ft_peer_scope(source_world),
-                              mailbox=self.rt.mailbox)
+        if not req.done:    # else its message was already waiting
+            req.arm_failure_scope(contexts=(self.ctx_pt2pt,),
+                                  peers=self._ft_peer_scope(source_world),
+                                  mailbox=self.rt.mailbox)
         return req
 
     def recv(self, buf, offset, count, datatype, source, tag) -> RequestImpl:
@@ -406,19 +409,16 @@ class CommImpl:
     def _relay_completion(inner: RequestImpl, outer: RequestImpl):
         """Propagate an inner (per-Start) request's completion outward."""
         def fire():
-            if inner.cancelled:
-                outer.complete_cancelled()
-            else:
-                outer.complete(inner.status_source_world, inner.status_tag,
-                               inner.count_elements, inner.error,
-                               inner.error_message)
+            outer.complete(inner.status_source_world, inner.status_tag,
+                           inner.count_elements, inner.error,
+                           inner.error_message, inner.cancelled)
         return fire
 
     def send_init(self, buf, offset, count, datatype, dest, tag,
                   mode: int = MODE_STANDARD) -> RequestImpl:
         self._check_alive()
         self._check_tag(tag)
-        req = RequestImpl(self.universe, RequestImpl.KIND_SEND)
+        req = RequestImpl(self.universe, RequestImpl.KIND_SEND, self.progress)
 
         def restart():
             inner = self.isend(buf, offset, count, datatype, dest, tag, mode)
@@ -434,7 +434,7 @@ class CommImpl:
         self._check_tag(tag, allow_any=True)
         if source != PROC_NULL:
             validate_buffer(buf, offset, count, datatype)
-        req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
+        req = RequestImpl(self.universe, RequestImpl.KIND_RECV, self.progress)
         req.source_comm = self
         req.recv_datatype = datatype
 
@@ -552,7 +552,7 @@ class CommImpl:
         completion fires the returned request's listeners, which is what
         the schedule progress engine advances on.
         """
-        req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
+        req = RequestImpl(self.universe, RequestImpl.KIND_RECV, self.progress)
         src_world = (ANY_SOURCE if src_comm_rank == ANY_SOURCE
                      else self.group.world_rank(src_comm_rank))
         self.rt.mailbox.post_recv(req, src_world, tag, self.ctx_coll, land)
@@ -574,7 +574,7 @@ class CommImpl:
     def obj_recv(self, src_comm_rank: int, tag: int,
                  world_src: int | None = None, ctx: int | None = None):
         box: dict[str, Envelope] = {}
-        req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
+        req = RequestImpl(self.universe, RequestImpl.KIND_RECV, self.progress)
 
         def land(env):
             # the envelope outlives deliver(): claim any borrowed payload
@@ -756,7 +756,7 @@ class CommImpl:
         """obj_recv for the FT protocols: completes with
         ``ERR_PROC_FAILED`` if the peer dies, ignores revocation."""
         box: dict[str, Envelope] = {}
-        req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
+        req = RequestImpl(self.universe, RequestImpl.KIND_RECV, self.progress)
 
         def land(env):
             box["env"] = env.claim()

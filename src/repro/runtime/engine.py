@@ -23,6 +23,7 @@ from repro.runtime.envelope import (Envelope, decode_abort_env,
                                     encode_revoke_env)
 from repro.runtime.groups import GroupImpl
 from repro.runtime.mailbox import Mailbox
+from repro.runtime.requests import RequestImpl
 from repro.transport import make_transport
 from repro.transport.base import Transport
 from repro.util.clock import Clock, WallClock
@@ -101,9 +102,8 @@ class Universe:
         self._next_ctx = _FIRST_DYNAMIC_CTX
         self._abort_lock = threading.Lock()
         self._abort: AbortException | None = None
-        #: callbacks fired exactly once when the job is poisoned; every
-        #: blocked wait registers one, which is what makes abort delivery
-        #: event-driven (no poll ticks anywhere on the wait paths)
+        #: callbacks fired exactly once when the job is poisoned (request
+        #: waits need none: each local rank's Progress primitive is woken)
         self._abort_listeners: list[Callable[[], None]] = []
         # -- ULFM failure plane (beside, not inside, the abort plane) ----
         self._fail_lock = threading.Lock()
@@ -111,12 +111,11 @@ class Universe:
         self.failed_ranks: dict[int, BaseException | None] = {}
         #: context ids of revoked communicators (pt2pt and coll ids both)
         self.revoked_contexts: set[int] = set()
-        #: persistent callbacks fired on *every* failure-plane event (a
-        #: newly dead peer or a newly revoked context).  Unlike abort
-        #: listeners these are not one-shot: blocked requests register
-        #: affectedness checks that decide per event whether to complete
-        #: with ERR_PROC_FAILED / ERR_REVOKED.
-        self._failure_listeners: list[Callable[[], None]] = []
+        #: armed requests, id -> request, until they complete: every
+        #: failure-plane event (a newly dead peer or a newly revoked
+        #: context) lets each decide whether to complete with
+        #: ERR_PROC_FAILED / ERR_REVOKED (see arm_failure_scope)
+        self.failure_scopes: dict[int, RequestImpl] = {}
         self._closed = False
         #: indexed by world rank; None for ranks hosted in other processes.
         #: Wired (and the transport started) only after the abort state
@@ -211,7 +210,7 @@ class Universe:
                     pass  # teardown is best-effort once the job is poisoned
             for mb in self.mailboxes:
                 if mb is not None:
-                    mb.on_abort()
+                    mb.wake()
             for fn in listeners:
                 try:
                     fn()
@@ -281,8 +280,8 @@ class Universe:
 
         This is the *recoverable* counterpart of :meth:`poison`:
         idempotent per rank, it marks ``rank`` failed, notifies every
-        mailbox (probes re-check), and fires the persistent failure
-        listeners — each blocked request decides for itself whether the
+        mailbox (probes re-check), and walks the armed requests in
+        :attr:`failure_scopes` — each decides for itself whether the
         loss affects it and, if so, completes with ``ERR_PROC_FAILED``.
         The job as a whole keeps running.
         """
@@ -291,14 +290,13 @@ class Universe:
             if rank in self.failed_ranks:
                 return
             self.failed_ranks[rank] = cause
-            listeners = list(self._failure_listeners)
         if broadcast:
             try:
                 self.transport.broadcast_control(
                     encode_peerfail_env(rank, cause))
             except Exception:
                 pass  # peers learn via their own transport EOF
-        self._fire_failure_event(listeners)
+        self._fire_failure_event()
 
     def note_revoked(self, contexts: Iterable[int], origin_rank: int = -1,
                      broadcast: bool = True) -> None:
@@ -316,7 +314,6 @@ class Universe:
             fresh = [c for c in contexts if c not in self.revoked_contexts]
             if fresh:
                 self.revoked_contexts.update(fresh)
-            listeners = list(self._failure_listeners)
         if not fresh:
             return
         if broadcast:
@@ -325,37 +322,18 @@ class Universe:
                     encode_revoke_env(origin_rank, contexts))
             except Exception:
                 pass
-        self._fire_failure_event(listeners)
+        self._fire_failure_event()
 
-    def _fire_failure_event(self, listeners) -> None:
+    def _fire_failure_event(self) -> None:
         for mb in self.mailboxes:
             if mb is not None:
-                mb.on_failure_event()
-        for fn in listeners:
+                mb.wake()
+        # a snapshot taken after the event was recorded: a request armed
+        # later re-checks the record itself (arm_failure_scope)
+        for req in list(self.failure_scopes.values()):
             try:
-                fn()
-            except Exception:  # pragma: no cover - listeners don't raise
-                pass
-
-    def add_failure_listener(self, fn: Callable[[], None]) -> bool:
-        """Register a persistent failure-event callback.
-
-        Fired on every subsequent failure-plane event; fired once
-        immediately (returning True) if any failure or revocation is
-        already on record, so registration after the event still sees it.
-        """
-        with self._fail_lock:
-            self._failure_listeners.append(fn)
-            pending = bool(self.failed_ranks or self.revoked_contexts)
-        if pending:
-            fn()
-        return pending
-
-    def remove_failure_listener(self, fn: Callable[[], None]) -> None:
-        with self._fail_lock:
-            try:
-                self._failure_listeners.remove(fn)
-            except ValueError:
+                req.fail_if_affected()
+            except Exception:  # pragma: no cover - completion doesn't raise
                 pass
 
     def is_failed(self, rank: int) -> bool:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from itertools import chain
 from typing import Callable, Optional
 
 from repro.obs.metrics import CounterGroup
@@ -42,7 +43,7 @@ from repro.runtime.envelope import (Envelope, KIND_ABORT, KIND_ACK,
                                     KIND_DATA, KIND_PEERFAIL, KIND_REVOKE,
                                     KIND_RTS, KIND_SANITIZE, MODE_READY,
                                     decode_peerfail_env, decode_revoke_env)
-from repro.runtime.requests import RequestImpl
+from repro.runtime.requests import Progress, RequestImpl
 
 #: process-wide match counters (all mailboxes): how often the receive
 #: was already posted when the message arrived vs how often the message
@@ -79,7 +80,7 @@ class PostedRecv:
     """A receive waiting in the posted queue."""
 
     __slots__ = ("req", "source_world", "tag", "context", "land",
-                 "recv_views", "order", "t_post")
+                 "recv_views", "order", "t_post", "key", "wildcard")
 
     def __init__(self, req: RequestImpl, source_world: int, tag: int,
                  context: int, land: LandFn,
@@ -93,13 +94,8 @@ class PostedRecv:
         self.order = 0
         #: trace stamp: when this receive entered the posted queue
         self.t_post = 0.0
-
-    @property
-    def wildcard(self) -> bool:
-        return self.source_world == ANY_SOURCE or self.tag == ANY_TAG
-
-    def key(self) -> tuple:
-        return (self.context, self.source_world, self.tag)
+        self.key = (context, source_world, tag)
+        self.wildcard = source_world == ANY_SOURCE or tag == ANY_TAG
 
     def matches(self, env: Envelope) -> bool:
         if env.context != self.context:
@@ -123,6 +119,7 @@ class Mailbox:
         self.universe = universe
         self._lock = threading.Lock()
         self._arrival = threading.Condition(self._lock)
+        self.progress = Progress()   # the rank's request wait primitive
         #: unexpected messages, bucketed by exact key; values are
         #: (arrival_stamp, env) deques in arrival order
         self._unexpected: dict[tuple, deque] = {}
@@ -144,7 +141,7 @@ class Mailbox:
             return
         if env.kind == KIND_ABORT:
             self.universe.note_abort_delivery(env)
-            self.on_abort()
+            self.wake()
             return
         if env.kind == KIND_SANITIZE:
             san = getattr(self.universe, "sanitizer", None)
@@ -215,10 +212,10 @@ class Mailbox:
         if posted.wildcard:
             self._posted_wild.remove(posted)
         else:
-            dq = self._posted_exact[posted.key()]
+            dq = self._posted_exact[posted.key]
             dq.remove(posted)
             if not dq:
-                del self._posted_exact[posted.key()]
+                del self._posted_exact[posted.key]
 
     def _match_posted(self, env: Envelope) -> Optional[PostedRecv]:
         """Earliest-posted matching receive for an arrival (lock held)."""
@@ -273,9 +270,9 @@ class Mailbox:
                 if posted.wildcard:
                     self._posted_wild.append(posted)
                 else:
-                    dq = self._posted_exact.get(posted.key())
+                    dq = self._posted_exact.get(posted.key)
                     if dq is None:
-                        dq = self._posted_exact[posted.key()] = deque()
+                        dq = self._posted_exact[posted.key] = deque()
                     dq.append(posted)
                 return
         env, t_arrive = hit
@@ -305,8 +302,8 @@ class Mailbox:
         bucket arrivals are FIFO, so heads are sufficient.
         """
         if not posted.wildcard:
-            dq = self._unexpected.get(posted.key())
-            return (posted.key(), dq) if dq else (None, None)
+            dq = self._unexpected.get(posted.key)
+            return (posted.key, dq) if dq else (None, None)
         best_key, best_dq, best_stamp = None, None, None
         for key, dq in self._unexpected.items():
             if posted.matches(dq[0][1]):
@@ -332,31 +329,18 @@ class Mailbox:
         """Remove a posted receive; True if it was still pending."""
         if not self.discard_posted(req):
             return False
-        req.complete_cancelled()
+        req.complete(cancelled=True)
         return True
 
     def discard_posted(self, req: RequestImpl) -> bool:
         """Silently remove ``req``'s posted receive (failure plane /
         cancellation); True if it was still in a queue."""
         with self._lock:
-            for dq in self._posted_exact.values():
-                for p in dq:
-                    if p.req is req:
-                        dq.remove(p)
-                        if not dq:
-                            del self._posted_exact[p.key()]
-                        break
-                else:
-                    continue
-                break
-            else:
-                for p in self._posted_wild:
-                    if p.req is req:
-                        self._posted_wild.remove(p)
-                        break
-                else:
-                    return False
-        return True
+            for p in chain(self._posted_wild, *self._posted_exact.values()):
+                if p.req is req:
+                    self._remove_posted(p)
+                    return True
+        return False
 
     # -- probe -------------------------------------------------------------------
     def iprobe(self, source_world: int, tag: int,
@@ -370,7 +354,7 @@ class Mailbox:
     def probe(self, source_world: int, tag: int, context: int) -> Envelope:
         """Blocking probe: wait for a matching arrival, do not consume it.
 
-        Event-driven: :meth:`on_abort` notifies the arrival condition under
+        Event-driven: :meth:`wake` notifies the arrival condition under
         the same lock, so a job abort wakes the probe immediately (no poll
         tick, no lost wakeup).
         """
@@ -387,15 +371,12 @@ class Mailbox:
                     return dq[0][1]
                 self._arrival.wait()
 
-    def on_abort(self) -> None:
-        """Wake every thread blocked on this mailbox (job poisoned)."""
+    def wake(self) -> None:
+        """Wake every thread blocked on this rank, probes and request
+        waits alike, to re-check the abort and failure planes."""
         with self._arrival:
             self._arrival.notify_all()
-
-    def on_failure_event(self) -> None:
-        """Wake blocked probes so they re-check the failure plane."""
-        with self._arrival:
-            self._arrival.notify_all()
+        self.progress.wake()
 
     # -- introspection -------------------------------------------------------------
     def has_posted_match(self, env: Envelope) -> bool:

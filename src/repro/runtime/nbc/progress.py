@@ -71,7 +71,7 @@ class CollRequestImpl(RequestImpl):
     KIND_COLL = "coll"
 
     def __init__(self, comm, schedule: Schedule, name: str = "coll"):
-        super().__init__(comm.universe, self.KIND_COLL)
+        super().__init__(comm.universe, self.KIND_COLL, comm.progress)
         self.comm = comm
         self.schedule = schedule
         self.name = name

@@ -2,10 +2,11 @@
 
 A :class:`RequestImpl` is the runtime object behind the OO layer's
 ``Request``/``Prequest``.  Completion may happen in another thread (the
-matching happens in whichever thread delivers the envelope), so the state is
-lock-protected and completion fires registered listeners — that is what
-``Waitany``/``Waitsome`` build their "wake on first completion" on without
-polling.
+one that delivers the envelope), so its state is guarded by the lock of
+the owning rank's :class:`Progress` — one wait primitive per rank, as in
+the MPICH/libNBC progress engine, and no lock or event per request.  A
+blocked wait sleeps on that primitive's condition; the completion of a
+request it watches, or a job abort, wakes it.
 """
 
 from __future__ import annotations
@@ -18,18 +19,55 @@ from repro.errors import (MPIException, ProcFailedException,
                           ERR_REQUEST, ERR_REVOKED, SUCCESS)
 
 
+class Progress:
+    """One rank's wait primitive: guards its requests' state, wakes its
+    blocked waits."""
+
+    __slots__ = ("lock", "cond")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.cond = threading.Condition(self.lock)
+
+    def wake(self) -> None:
+        """Wake every wait blocked on this rank (job abort)."""
+        with self.lock:
+            self.cond.notify_all()
+
+    def sleep_until(self, watched: list, ready: Callable, timeout=None):
+        """Sleep until ``ready()`` (run under the lock; it may raise the
+        job abort) is truthy or ``timeout`` expires; returns it.
+        ``watched`` requests notify on completion while it sleeps."""
+        with self.lock:
+            for r in watched:
+                r._waiters += 1
+            try:
+                return self.cond.wait_for(ready, timeout)
+            finally:
+                for r in watched:
+                    r._waiters -= 1
+
+
+#: requests built outside a rank (unit tests, tools) share this one
+_DETACHED = Progress()
+
+
 class RequestImpl:
     """One outstanding communication operation."""
 
     KIND_SEND = "send"
     KIND_RECV = "recv"
+    #: sanitizer send-buffer verifier (see _sanitize_completion_checks)
+    sanitize_verify_send = None
 
-    def __init__(self, universe, kind: str):
+    def __init__(self, universe, kind: str,
+                 progress: Progress | None = None):
         self.universe = universe
         self.kind = kind
-        self._lock = threading.Lock()
-        self._event = threading.Event()
-        self._listeners: list[Callable[[], None]] = []
+        self._progress = progress or _DETACHED
+        #: blocked waits watching this request (guarded by the primitive)
+        self._waiters = 0
+        self._listeners: list[Callable[[], None]] | None = None
         self.done = False
         self.cancelled = False
         self.error = SUCCESS
@@ -43,9 +81,8 @@ class RequestImpl:
         self.active = True           # inactive persistent requests await Start
         self._restart: Optional[Callable[[], None]] = None
         self.persistent_inner: Optional["RequestImpl"] = None
-        # recv-side landing zone, set by the engine
-        self._recv_sink = None
         # ULFM failure scope (see arm_failure_scope)
+        self._ft_armed = False
         self._ft_contexts: tuple = ()
         self._ft_peers: tuple = ()
         self._ft_mailbox = None
@@ -58,36 +95,40 @@ class RequestImpl:
     # -- completion (called by mailbox / engine threads) ---------------------
     def complete(self, source_world: int = -1, tag: int = -1,
                  count_elements: int = 0, error: int = SUCCESS,
-                 error_message: str = "") -> None:
-        with self._lock:
+                 error_message: str = "", cancelled: bool = False) -> None:
+        progress = self._progress
+        with progress.lock:
             if self.done:
                 return
             self.done = True
+            self.cancelled = cancelled
             self.status_source_world = source_world
             self.status_tag = tag
             self.count_elements = count_elements
             self.error = error
             self.error_message = error_message
-            listeners = list(self._listeners)
-            self._listeners.clear()
-        self._event.set()
-        for fn in listeners:
+            listeners = self._listeners
+            self._listeners = None
+            if self._waiters:
+                progress.cond.notify_all()
+        if self._ft_armed:
+            self._ft_armed = False
+            self.universe.failure_scopes.pop(id(self), None)
+        for fn in listeners or ():
             fn()
 
     def complete_cancelled(self) -> None:
-        with self._lock:
-            if self.done:
-                return
-            self.cancelled = True
-        self.complete()
+        self.complete(cancelled=True)
 
     def add_listener(self, fn: Callable[[], None]) -> bool:
         """Register a completion callback; fired immediately if done.
 
         Returns True if the request was already complete.
         """
-        with self._lock:
+        with self._progress.lock:
             if not self.done:
+                if self._listeners is None:
+                    self._listeners = []
                 self._listeners.append(fn)
                 return False
         fn()
@@ -101,22 +142,27 @@ class RequestImpl:
         ``peers`` are the world ranks whose death makes the operation
         undeliverable (the matched source, or every other group member
         for ``ANY_SOURCE`` / collectives); ``contexts`` are the context
-        ids whose revocation cancels it.  The check runs once now (the
-        event may predate the request) and again on every failure-plane
-        event; an affected request *completes with the error code*, so
-        the normal Wait/Test path surfaces ``ERR_PROC_FAILED`` /
-        ``ERR_REVOKED`` through the communicator's error handler.
+        ids whose revocation cancels it.  The request enters the
+        universe's ``failure_scopes`` registry until it completes; the
+        check runs once now (the event may predate the request) and
+        again on every failure-plane event.  An affected request
+        *completes with the error code*, so the normal Wait/Test path
+        surfaces ``ERR_PROC_FAILED`` / ``ERR_REVOKED`` through the
+        communicator's error handler.
         """
         self._ft_contexts = tuple(contexts)
         self._ft_peers = tuple(peers)
         if mailbox is not None:
             self._ft_mailbox = mailbox
-        listener = self._fail_if_affected
-        self.universe.add_failure_listener(listener)
-        self.add_listener(
-            lambda: self.universe.remove_failure_listener(listener))
+        u = self.universe
+        self._ft_armed = True
+        u.failure_scopes[id(self)] = self
+        if self.done:   # completed while arming, maybe before the entry
+            u.failure_scopes.pop(id(self), None)
+        elif u.failed_ranks or u.revoked_contexts:
+            self.fail_if_affected()
 
-    def _fail_if_affected(self) -> None:
+    def fail_if_affected(self) -> None:
         if self.done:
             return
         u = self.universe
@@ -142,35 +188,37 @@ class RequestImpl:
         self.complete(error=error, error_message=message)
 
     # -- waiting --------------------------------------------------------------
-    def wait(self) -> None:
-        """Block until complete; raise on communication error or job abort.
+    def _settled(self) -> bool:
+        if self.done:
+            return True
+        self.universe.check_abort()     # raises once the job is poisoned
+        return False
 
-        Event-driven: a job abort fires the registered listener and wakes
-        the wait immediately — there is no poll tick.  A request that
-        already completed reports its own outcome (success or its original
-        error) even if the job aborted afterwards.
-        """
-        if not self._event.is_set():
-            poke = self._event.set
-            self.universe.add_abort_listener(poke)
-            try:
-                san = getattr(self.universe, "sanitizer", None)
-                if san is not None:
-                    # deadlock-probing wait loop (REPRO_SANITIZE=1)
-                    san.sanitized_wait(self)
-                else:
-                    self._event.wait()
-            finally:
-                self.universe.remove_abort_listener(poke)
+    def block(self, timeout: float | None = None) -> bool:
+        """Sleep on the rank's primitive until this request completes;
+        raises the job abort, returns False only if ``timeout`` expires."""
+        return self._progress.sleep_until((self,), self._settled, timeout)
+
+    def wait(self) -> None:
+        """Block until complete; raise on communication error or job abort
+        (no poll tick: the abort wakes the rank's primitive).  A completed
+        request reports its own outcome even if the job aborted later."""
         if not self.done:
-            # woken by the abort listener, not by completion
-            self.universe.check_abort()
-        self._sanitize_completion_checks()
+            san = getattr(self.universe, "sanitizer", None)
+            if san is not None:     # deadlock probing (REPRO_SANITIZE=1)
+                san.sanitized_wait(self)
+            else:
+                self.block()
+            if not self.done:
+                self.universe.check_abort()
+        if self.sanitize_verify_send is not None:
+            self._sanitize_completion_checks()
         self.raise_if_error()
 
     def test(self) -> bool:
-        if self._event.is_set() and self.done:
-            self._sanitize_completion_checks()
+        if self.done:
+            if self.sanitize_verify_send is not None:
+                self._sanitize_completion_checks()
             self.raise_if_error()
             return True
         self.universe.check_abort()
@@ -183,10 +231,9 @@ class RequestImpl:
         Wait/Test that *observes* completion — so the buffer-mutation
         checksum fires here, once, on every backend alike.
         """
-        verify = getattr(self, "sanitize_verify_send", None)
-        if verify is not None and self.done:
-            self.sanitize_verify_send = None
-            verify()
+        verify = self.sanitize_verify_send
+        self.sanitize_verify_send = None
+        verify()
 
     def raise_if_error(self) -> None:
         if self.error != SUCCESS:
@@ -216,24 +263,17 @@ class RequestImpl:
         if self.active and not self.done:
             raise MPIException(ERR_PENDING, "Start on an active persistent "
                                             "request")
-        with self._lock:
+        with self._progress.lock:
             self.done = False
             self.cancelled = False
             self.error = SUCCESS
             self.error_message = ""
-            self._event.clear()
             self.active = True
-        if self._ft_contexts or self._ft_peers:
-            # completion dropped the failure listener; watch again
-            self.arm_failure_scope(self._ft_contexts, self._ft_peers)
-        self._restart()
+        self._restart()     # the new inner request arms its own scope
 
     def deactivate(self) -> None:
         """Wait/Test on a completed persistent request deactivates it."""
         self.active = False
-
-    def is_null(self) -> bool:
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "done" if self.done else "pending"
@@ -241,24 +281,22 @@ class RequestImpl:
 
 
 def wait_any(requests: list[Optional[RequestImpl]], universe) -> int:
-    """``MPI_Waitany`` core: index of first completion, or -1 if all null."""
+    """``MPI_Waitany`` core: index of first completion, or -1 if all null.
+    (All the requests belong to the calling rank, hence to one primitive.)
+    """
     live = [(i, r) for i, r in enumerate(requests) if r is not None]
     if not live:
         return -1
-    trigger = threading.Event()
-    for _, r in live:
-        r.add_listener(trigger.set)
-    universe.add_abort_listener(trigger.set)
-    try:
-        trigger.wait()
-    finally:
-        universe.remove_abort_listener(trigger.set)
-    for i, r in live:
-        if r.done:
-            return i
-    # woken by the abort listener with nothing complete
-    universe.check_abort()
-    raise AssertionError("waitany woke without a completed request")
+
+    def first_done():   # 1-based index; 0 keeps the wait asleep
+        for i, r in live:
+            if r.done:
+                return i + 1
+        universe.check_abort()
+        return 0
+
+    return live[0][1]._progress.sleep_until(
+        [r for _, r in live], first_done) - 1
 
 
 def wait_all(requests: list[Optional[RequestImpl]], universe) -> None:

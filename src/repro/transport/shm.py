@@ -166,7 +166,11 @@ class _SpscRing:
     ``head`` and ``tail`` are 64-bit monotonic byte counters living in
     the segment's control block; occupancy is ``head - tail`` and the
     data offset is ``counter % capacity``, so wrap-around never needs a
-    modular comparison.  Discipline (enforced by the
+    modular comparison.  Counters are loaded and published through a
+    ``cast("Q")`` view of the control block: an item access is one
+    aligned 8-byte copy, so the other process never sees a torn value
+    (``struct.pack_into`` zero-fills its destination before writing,
+    which publishes a transient 0).  Discipline (enforced by the
     ``shm-ring-discipline`` lint rule): only producer-side methods
     (``write*``) store ``head``, only consumer-side methods (``read*``)
     store ``tail``; each side reads the other's counter but never
@@ -178,9 +182,10 @@ class _SpscRing:
 
     def __init__(self, ctrl: memoryview, head_off: int, tail_off: int,
                  data: memoryview):
-        self._ctrl = ctrl
-        self._head_off = head_off
-        self._tail_off = tail_off
+        self._ctrl = ctrl.cast("Q")
+        # byte offsets of the counters -> word indexes into ``_ctrl``
+        self._head_off = head_off // 8
+        self._tail_off = tail_off // 8
         self._data = data
         self._cap = len(data)
 
@@ -194,10 +199,10 @@ class _SpscRing:
         self._data.release()
 
     def _load(self, off: int) -> int:
-        return _SZ.unpack_from(self._ctrl, off)[0]
+        return self._ctrl[off]
 
     def _store(self, off: int, value: int) -> None:
-        _SZ.pack_into(self._ctrl, off, value)
+        self._ctrl[off] = value
 
     # -- producer side ------------------------------------------------------
     def write_free(self) -> int:

@@ -345,22 +345,18 @@ class T:
 # ---------------------------------------------------------------------------
 
 RING_TEMPLATE = """\
-import struct
-
-_SZ = struct.Struct("<Q")
-
 class Ring:
     def __init__(self, ctrl, data):
-        self._ctrl = ctrl
+        self._ctrl = ctrl.cast("Q")
         self._head_off = 0
-        self._tail_off = 64
+        self._tail_off = 8
         self._data = data
 
     def _load(self, off):
-        return _SZ.unpack_from(self._ctrl, off)[0]
+        return self._ctrl[off]
 
     def _store(self, off, value):
-        _SZ.pack_into(self._ctrl, off, value)
+        self._ctrl[off] = value
 
     def write(self, buf):
         head = self._load(self._head_off)
@@ -411,6 +407,18 @@ def test_ring_discipline_unclassified_method_warns(tmp_path):
     assert len(hits) == 1
     assert hits[0].severity == "warning"
     assert "rewind" in hits[0].message
+
+
+def test_ring_discipline_rejects_pack_into_publish(tmp_path):
+    # struct.pack_into zero-fills before writing: a counter published
+    # that way can be read as 0 by the other process mid-store
+    src = RING_TEMPLATE.format(store_off="self._tail_off").replace(
+        "self._ctrl[off] = value",
+        "struct.pack_into('<Q', self._ctrl, off * 8, value)")
+    findings, _ = lint_source(tmp_path, "import struct\n" + src)
+    hits = [f for f in findings if f.rule == "shm-ring-discipline"]
+    assert len(hits) == 1
+    assert hits[0].severity == "error" and "pack_into" in hits[0].message
 
 
 def test_ring_discipline_ignores_non_ring_classes(tmp_path):

@@ -7,18 +7,20 @@ import pytest
 
 from repro.errors import MPIException, ERR_PENDING, ERR_REQUEST, \
     ERR_TRUNCATE
-from repro.runtime.requests import RequestImpl, wait_all, wait_any, \
-    wait_some
+from repro.runtime.requests import Progress, RequestImpl, wait_all, \
+    wait_any, wait_some
 from repro.runtime.requests import test_all as req_test_all
 from repro.runtime.requests import test_some as req_test_some
 
 
 class FakeUniverse:
-    """Minimal stand-in implementing the abort-listener contract."""
+    """Minimal stand-in implementing the abort contract: one rank whose
+    wait primitive is woken when the job is poisoned."""
 
     def __init__(self):
         self.aborted = None
         self.listeners = []
+        self.progress = Progress()
 
     def check_abort(self):
         if self.aborted:
@@ -40,6 +42,7 @@ class FakeUniverse:
         fns, self.listeners = self.listeners, []
         for fn in fns:
             fn()
+        self.progress.wake()
 
 
 @pytest.fixture
@@ -48,7 +51,7 @@ def uni():
 
 
 def req(uni, kind=RequestImpl.KIND_RECV):
-    return RequestImpl(uni, kind)
+    return RequestImpl(uni, kind, uni.progress)
 
 
 class TestCompletion:

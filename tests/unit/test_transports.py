@@ -467,6 +467,93 @@ class TestShmRing:
             seg.close()
 
 
+#: producer side of the two-process ring stress: attach the segment
+#: by name and stream seeded random frames, each ``len | crc32 | body``
+_RING_PRODUCER = """
+import random, struct, sys, time, zlib
+from repro.transport.shm import ShmSegment
+
+class Stall:
+    def __call__(self):
+        time.sleep(0)
+
+    def reset(self):
+        pass
+
+seg = ShmSegment(sys.argv[1], create=False)
+rng, stall = random.Random(int(sys.argv[3])), Stall()
+try:
+    for _ in range(int(sys.argv[2])):
+        body = rng.randbytes(rng.randint(1, 300))
+        seg.frame.write(struct.pack("<II", len(body), zlib.crc32(body))
+                        + body, stall)
+finally:
+    seg.close()
+"""
+
+
+class TestShmRingTwoProcess:
+    """Producer and consumer in separate processes on separate cores:
+    the counters must publish atomically under real concurrency."""
+
+    FRAMES = 60_000
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2,
+        reason="needs 2+ CPUs: on one core the producer and consumer "
+               "never run at the same instant, so a torn counter "
+               "publish cannot be observed")
+    def test_checksummed_frames_survive_wraparound(self):
+        import struct
+        import subprocess
+        import sys
+        import zlib
+        from pathlib import Path
+
+        import repro
+        from repro.transport.shm import ShmSegment
+        seg = ShmSegment(_seg_name(), create=True, ring=4096, rndv=64)
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _RING_PRODUCER, seg.name,
+             str(self.FRAMES), "7"], env=env, stderr=subprocess.PIPE)
+        deadline = time.monotonic() + 120
+
+        class Stall:
+            def __call__(self):
+                if proc.poll() is not None and \
+                        not seg.frame.read_available():
+                    raise AssertionError(
+                        "producer died: " + proc.stderr.read().decode())
+                assert time.monotonic() < deadline, "ring stress hung"
+                time.sleep(0)
+
+            def reset(self):
+                pass
+
+        def read_exact(n):
+            out = bytearray(n)
+            seg.frame.read_exact_views([memoryview(out)], stall)
+            return bytes(out)
+
+        stall = Stall()
+        try:
+            for i in range(self.FRAMES):
+                size, crc = struct.unpack("<II", read_exact(8))
+                assert 1 <= size <= 300, f"frame {i}: torn length {size}"
+                body = read_exact(size)
+                assert zlib.crc32(body) == crc, f"frame {i}: bad checksum"
+            assert proc.wait(timeout=60) == 0, proc.stderr.read().decode()
+            assert seg.frame.read_available() == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+            seg.close()
+
+
 class TestShmTransport:
     """The full shm transport in-process: framing, FIFO, cleanup."""
 
